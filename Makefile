@@ -1,6 +1,7 @@
 # Developer entry points. `make check` is the pre-PR gate: vet, build, the
-# full test suite, race-enabled tests of every concurrency-bearing package,
-# and a seed-corpus pass of the wire fuzzers.
+# full test suite (plus the perfbench module's own tests, which the root
+# module's ./... does not reach), race-enabled tests of every
+# concurrency-bearing package, and a seed-corpus pass of the wire fuzzers.
 
 GO ?= go
 
@@ -50,6 +51,7 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	$(MAKE) perfbench-test
 	$(GO) test -race $(RACE_PKGS)
 	$(MAKE) fuzz-seed
 	$(MAKE) obsctl-roundtrip
@@ -60,6 +62,13 @@ check:
 	$(MAKE) swarm-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) reputation-smoke
+
+# The benchmark harness is its own module (perfbench/go.mod), so root
+# `go test ./...` skips it. Its tests run every workload briefly and replay
+# each in-process round, requiring identical winners and awards.
+.PHONY: perfbench-test
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Crash-recovery differential plus a store-overhead benchmark smoke: kill a
 # WAL-backed engine mid-round, reopen the log, finish the campaign, and

@@ -27,7 +27,12 @@ func recordJournal(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engine.New(engine.Config{SpanSinks: []span.Sink{journal}})
+	// Each round's agents start only once the engine has opened that round:
+	// an agent returns at its settlement, which can reach it before the
+	// engine reopens bidding, and a bid sent in between is rejected.
+	opened := make(chan int, 2)
+	e := engine.New(engine.Config{SpanSinks: []span.Sink{journal},
+		OnRoundOpen: func(string, int) { opened <- 1 }})
 	err = e.AddCampaign(engine.CampaignConfig{
 		ID:              "rt",
 		Tasks:           []auction.Task{{ID: 1, Requirement: 0.6}},
@@ -49,6 +54,7 @@ func recordJournal(t *testing.T) string {
 		done <- e.Serve(ctx)
 	}()
 	for round := 0; round < 2; round++ {
+		<-opened
 		var wg sync.WaitGroup
 		for i := 1; i <= 3; i++ {
 			wg.Add(1)

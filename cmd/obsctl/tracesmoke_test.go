@@ -65,6 +65,10 @@ func TestTraceSmoke(t *testing.T) {
 		Epsilon:         0.5,
 	}
 
+	// Round 2's agents start only once round 1 has settled, which is after
+	// the engine reopened bidding: an agent returns at its settlement, which
+	// can reach it first, and a bid sent in between is rejected.
+	settled := make(chan struct{}, 2)
 	n1, err := cluster.StartNode(cluster.NodeConfig{
 		Name:      "n1",
 		Shard:     "s1",
@@ -73,6 +77,7 @@ func TestTraceSmoke(t *testing.T) {
 		RepAddr:   "127.0.0.1:0",
 		Campaigns: []engine.CampaignConfig{campaign},
 		SpanSinks: []span.Sink{leaderJ},
+		Engine:    engine.Config{OnRound: func(engine.RoundResult) { settled <- struct{}{} }},
 		Logf:      t.Logf,
 	})
 	if err != nil {
@@ -118,6 +123,9 @@ func TestTraceSmoke(t *testing.T) {
 	spans := span.New(agentJ).SetNode("agent-fleet")
 	backoff := agent.Backoff{Attempts: 10, Base: 50 * time.Millisecond, Max: time.Second}
 	for round := 1; round <= 2; round++ {
+		if round > 1 {
+			<-settled
+		}
 		errs := make(chan error, 2)
 		for i := 0; i < 2; i++ {
 			user := auction.UserID(100*round + i + 1)

@@ -403,18 +403,24 @@ func TestEngineInfeasibleRoundContinues(t *testing.T) {
 		Alpha:           10,
 		Epsilon:         0.5,
 	}
-	e := New(Config{ConnTimeout: 10 * time.Second})
+	// Round 2's bidder starts only once the engine has reopened bidding: the
+	// failed round's agent returns at its error, which can reach it first,
+	// and a bid sent in between is rejected.
+	opened := make(chan int, 2)
+	e := New(Config{ConnTimeout: 10 * time.Second, OnRoundOpen: func(_ string, round int) { opened <- round }})
 	if err := e.AddCampaign(cc); err != nil {
 		t.Fatal(err)
 	}
 	addr, done := startEngine(t, e)
 
 	// Round 1: a bidder whose PoS cannot cover 0.95 — infeasible.
+	<-opened
 	if _, err := runAgent(t, addr, "main", 1, 2, 0.3); err == nil ||
 		!strings.Contains(err.Error(), "auction failed") {
 		t.Errorf("infeasible round error = %v", err)
 	}
 	// Round 2: a capable bidder completes.
+	<-opened
 	if _, err := runAgent(t, addr, "main", 2, 2, 0.96); err != nil {
 		t.Errorf("round 2 agent: %v", err)
 	}

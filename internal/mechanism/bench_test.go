@@ -61,6 +61,22 @@ func BenchmarkMultiTaskRun(b *testing.B) {
 			})
 		}
 	}
+	benchMultiTaskSwarm(b, &MultiTask{Alpha: 10})
+}
+
+// benchMultiTaskSwarm times the paper-mode mechanism on the shape the swarm
+// benchmark's rounds have: 512 bids over 16 tasks, 1–3 consecutive tasks
+// per bid.
+func benchMultiTaskSwarm(b *testing.B, m *MultiTask) {
+	a := swarmAuction(stats.NewRand(3), 512, 16)
+	b.Run("swarm/n=512/t=16/paper", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := m.Run(a); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkMultiTaskRunReference is the seed baseline: reference greedy
@@ -86,6 +102,7 @@ func BenchmarkMultiTaskRunReference(b *testing.B) {
 			})
 		}
 	}
+	benchMultiTaskSwarm(b, &MultiTask{Alpha: 10, Parallelism: 1, useReference: true})
 }
 
 func BenchmarkVCGBaselines(b *testing.B) {

@@ -113,8 +113,10 @@ type Award struct {
 // multi-task cover). The solver-efficiency counters aggregate across the
 // allocation AND every critical-bid re-solve of the call: DP subproblems
 // the incumbent bound pruned, DP workspace checkouts served by the pool,
-// and lazy-greedy effective-contribution evaluations (the CELF saving over
-// a full rescan). Gauges, not invariants — they describe the last run.
+// and greedy effective-contribution evaluations (the CELF saving over a
+// full rescan; a paper-mode critical bid adds only the evaluations of the
+// rerun's suffix, its prefix coming from the allocation's trace). Gauges,
+// not invariants — they describe the last run.
 type Stats struct {
 	Winners      int     `json:"winners"`
 	TotalPayment float64 `json:"total_payment"` // Σ RewardOnSuccess across awards

@@ -77,12 +77,18 @@ func (m *MultiTask) parallelism() int {
 }
 
 // solveCover runs winner determination on the given auction, emitting a
-// setcover.greedy span under sp when tracing is on.
-func (m *MultiTask) solveCover(sp *span.Span, a *auction.Auction) (setcover.Solution, error) {
+// setcover.greedy span under sp when tracing is on. The resumable run that
+// prices Algorithm 5 critical bids is nil on the reference route.
+func (m *MultiTask) solveCover(sp *span.Span, a *auction.Auction) (setcover.Solution, *setcover.Run, error) {
 	if m.useReference {
-		return setcover.GreedyReference(a)
+		sol, err := setcover.GreedyReference(a)
+		return sol, nil, err
 	}
-	return setcover.GreedyTraced(a, sp)
+	run, err := setcover.GreedyRunTraced(a, sp)
+	if err != nil {
+		return setcover.Solution{}, nil, err
+	}
+	return run.Solution, run, nil
 }
 
 // Run executes winner determination and reward calculation. Per-winner
@@ -98,7 +104,7 @@ func (m *MultiTask) Run(a *auction.Auction) (*Outcome, error) {
 	}
 	allocSpan := m.Trace.Child(span.NameAllocate,
 		span.Int("bids", int64(len(a.Bids))), span.Int("tasks", int64(len(a.Tasks))))
-	sol, err := m.solveCover(allocSpan, a)
+	sol, run, err := m.solveCover(allocSpan, a)
 	if err != nil {
 		allocSpan.EndWith(span.Str("error", err.Error()))
 		if errors.Is(err, setcover.ErrInfeasible) {
@@ -139,7 +145,7 @@ func (m *MultiTask) Run(a *auction.Auction) (*Outcome, error) {
 			case CriticalBidScaled:
 				criticalQ, evals, err = m.criticalContributionScaled(cb, a, winner)
 			case CriticalBidPaper, 0:
-				criticalQ, evals, err = m.criticalContributionMulti(cb, a, winner)
+				criticalQ, evals, err = m.criticalContributionMulti(cb, a, run, winner)
 			default:
 				err = fmt.Errorf("mechanism: unknown critical bid mode %d", m.CriticalBid)
 			}
@@ -211,7 +217,7 @@ func (m *MultiTask) winsWithScale(sp *span.Span, a *auction.Auction, i int, s fl
 	if err != nil {
 		return false, 0, err
 	}
-	sol, err := m.solveCover(sp, mod)
+	sol, _, err := m.solveCover(sp, mod)
 	if err != nil {
 		if errors.Is(err, setcover.ErrInfeasible) {
 			return false, sol.Evals, nil
@@ -228,49 +234,75 @@ func (m *MultiTask) winsWithScale(sp *span.Span, a *auction.Auction, i int, s fl
 // to be picked instead. The critical bid is the minimum of those
 // thresholds.
 //
+// The rerun is run.Without: the iterations before i's pick are taken from
+// the allocation's own trace and only the rest is recomputed. The reference
+// route (run == nil) re-runs the reference greedy on a copy of the auction
+// without i instead, the oracle the resume is pinned to.
+//
 // If the instance is infeasible without user i, she is pivotal: the greedy
 // loop must eventually select her no matter how small her declared
 // contribution, so her critical bid is the infimum 0 (any threshold
 // observed before the rerun stalls still applies and is used if smaller —
 // it cannot be, since 0 is minimal). The paper assumes a competitive market
 // where this does not arise; see DESIGN.md.
-func (m *MultiTask) criticalContributionMulti(sp *span.Span, a *auction.Auction, i int) (float64, int64, error) {
-	rest, err := a.WithoutBid(i)
-	if err != nil {
-		if errors.Is(err, auction.ErrNoBids) {
-			return 0, 0, nil // only bidder: pivotal
-		}
-		return 0, 0, err
-	}
-	sol, err := m.solveCover(sp, rest)
-	if err != nil {
-		if errors.Is(err, setcover.ErrInfeasible) {
-			return 0, sol.Evals, nil // pivotal: wins with any positive declaration
-		}
-		return 0, sol.Evals, err
-	}
+func (m *MultiTask) criticalContributionMulti(sp *span.Span, a *auction.Auction, run *setcover.Run, i int) (float64, int64, error) {
 	ci := a.Bids[i].Cost
 	critical := math.Inf(1)
-	for _, it := range sol.Iterations {
-		// Bid indices in `rest` at or above i shifted down by one.
-		kRest := it.Winner
-		k := kRest
-		if kRest >= i {
-			k = kRest + 1
-		}
+	visit := func(k int, effective float64) {
 		ck := a.Bids[k].Cost
-		threshold := ci / ck * it.Effective
+		threshold := ci / ck * effective
 		if threshold < critical {
 			critical = threshold
 		}
+	}
+	var (
+		evals int64
+		err   error
+	)
+	if run != nil {
+		evals, err = run.WithoutTraced(sp, i, visit)
+	} else {
+		evals, err = rerunWithoutReference(a, i, visit)
+	}
+	if err != nil {
+		if errors.Is(err, setcover.ErrInfeasible) {
+			return 0, evals, nil // pivotal: wins with any positive declaration
+		}
+		return 0, evals, err
 	}
 	if math.IsInf(critical, 1) {
 		// No iterations means the requirements were already satisfied with
 		// no users — impossible for validated auctions with positive
 		// requirements.
-		return 0, sol.Evals, fmt.Errorf("mechanism: empty rerun trace for winner %d", i)
+		return 0, evals, fmt.Errorf("mechanism: empty rerun trace for winner %d", i)
 	}
-	return critical, sol.Evals, nil
+	return critical, evals, nil
+}
+
+// rerunWithoutReference is Algorithm 5's rerun as printed: the reference
+// greedy on a copy of the auction without bid i, its iterations visited
+// with winners mapped back to indices in a.
+func rerunWithoutReference(a *auction.Auction, i int, visit func(k int, effective float64)) (int64, error) {
+	rest, err := a.WithoutBid(i)
+	if err != nil {
+		if errors.Is(err, auction.ErrNoBids) {
+			return 0, setcover.ErrInfeasible // only bidder: pivotal
+		}
+		return 0, err
+	}
+	sol, err := setcover.GreedyReference(rest)
+	if err != nil {
+		return sol.Evals, err
+	}
+	for _, it := range sol.Iterations {
+		// Bid indices in `rest` at or above i shifted down by one.
+		k := it.Winner
+		if k >= i {
+			k++
+		}
+		visit(k, it.Effective)
+	}
+	return sol.Evals, nil
 }
 
 // MultiTaskOPT pairs the exact branch-and-bound cover with EC rewards

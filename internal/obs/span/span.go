@@ -50,7 +50,8 @@ const (
 	// critical-bid probe.
 	NameKnapsackSolve = "knapsack.solve"
 	// NameGreedyCover is one setcover.Greedy cover — the allocation or one
-	// critical-bid rerun.
+	// critical-bid rerun (a paper-mode rerun resumes from the allocation's
+	// trace and carries without/resume_at attributes).
 	NameGreedyCover = "setcover.greedy"
 	// NameRecovery covers one startup replay of durable state (snapshot +
 	// WAL) into a restored engine.

@@ -1,9 +1,12 @@
 package setcover
 
 import (
+	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"crowdsense/internal/auction"
 	"crowdsense/internal/stats"
 )
 
@@ -114,5 +117,79 @@ func TestGreedyLazySavesEvals(t *testing.T) {
 	}
 	if sol.Evals < int64(len(a.Bids)) {
 		t.Errorf("evals %d below the initial scoring pass %d", sol.Evals, len(a.Bids))
+	}
+}
+
+// step is one visited iteration of a replay without a bid.
+type step struct {
+	winner    int
+	effective float64
+}
+
+// withDuplicates re-enters some of a's bids under fresh users at the end of
+// the bid list, so removing a winner often hands its pick to an exact
+// duplicate through the index tie-break.
+func withDuplicates(rng *rand.Rand, a *auction.Auction) *auction.Auction {
+	bids := append([]auction.Bid(nil), a.Bids...)
+	for k := 0; k < len(a.Bids)/3; k++ {
+		dup := a.Bids[rng.Intn(len(a.Bids))]
+		bids = append(bids, auction.NewBid(auction.UserID(1000+k), dup.Tasks, dup.Cost, dup.PoS))
+	}
+	out, err := auction.New(a.Tasks, bids)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// TestWithoutMatchesReferenceRerun pins Run.Without to the rerun it
+// replaces: for every bid — winners picked first, in between, and last,
+// and bids never picked — the visited (winner, effective) sequence equals
+// GreedyReference on the auction without that bid, winners mapped back to
+// full-auction indices, and infeasibility is reported exactly when the
+// rerun fails.
+func TestWithoutMatchesReferenceRerun(t *testing.T) {
+	rng := stats.NewRand(43)
+	pivotal := 0
+	for trial := 0; trial < 80; trial++ {
+		a := randomAuction(rng, 4+rng.Intn(30), 2+rng.Intn(8), 4, 0.8)
+		if trial%2 == 1 {
+			a = withDuplicates(rng, a)
+		}
+		run, err := GreedyRun(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a.Bids {
+			var got []step
+			_, errGot := run.Without(i, func(w int, eff float64) { got = append(got, step{w, eff}) })
+			rest, err := a.WithoutBid(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sol, errWant := GreedyReference(rest)
+			if (errGot == nil) != (errWant == nil) || (errGot != nil && !errors.Is(errGot, ErrInfeasible)) {
+				t.Fatalf("trial %d without %d: err %v, reference %v", trial, i, errGot, errWant)
+			}
+			if errGot != nil {
+				pivotal++
+				continue
+			}
+			if len(got) != len(sol.Iterations) {
+				t.Fatalf("trial %d without %d: %d iterations, reference %d", trial, i, len(got), len(sol.Iterations))
+			}
+			for k, it := range sol.Iterations {
+				w := it.Winner
+				if w >= i {
+					w++
+				}
+				if got[k] != (step{w, it.Effective}) {
+					t.Fatalf("trial %d without %d iter %d: %+v, reference %+v", trial, i, k, got[k], step{w, it.Effective})
+				}
+			}
+		}
+	}
+	if pivotal == 0 {
+		t.Error("no pivotal bid met; the infeasible branch went untested")
 	}
 }

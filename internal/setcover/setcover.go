@@ -176,23 +176,27 @@ type term struct {
 	q    float64
 }
 
-// greedyState is the dense projection of one auction: remaining
-// requirements indexed by task position, and every bid's terms in one flat
-// slice (bid i owns flat[offs[i]:offs[i+1]], in the bid's sorted task
-// order, so sums run in exactly the reference's float order).
+// greedyState is the dense projection of one auction: requirements indexed
+// by task position, bid costs, and every bid's terms in one flat slice (bid
+// i owns flat[offs[i]:offs[i+1]], in the bid's sorted task order, so sums
+// run in exactly the reference's float order). It is read-only once built;
+// each greedy walk carries its own remaining-requirements slice, so
+// concurrent walks share one projection.
 type greedyState struct {
 	taskIDs []auction.TaskID
-	rem     []float64
+	req     []float64
+	cost    []float64
 	flat    []term
 	offs    []int
 }
 
-// effective is EffectiveContribution over the dense projection: same
-// iteration order, comparisons, and additions, hence bit-identical sums.
-func (g *greedyState) effective(i int) float64 {
+// effective is EffectiveContribution over the dense projection against the
+// remaining requirements rem: same iteration order, comparisons, and
+// additions, hence bit-identical sums.
+func (g *greedyState) effective(rem []float64, i int) float64 {
 	total := 0.0
 	for _, t := range g.flat[g.offs[i]:g.offs[i+1]] {
-		r := g.rem[t.task]
+		r := rem[t.task]
 		if r <= 0 {
 			continue
 		}
@@ -205,10 +209,10 @@ func (g *greedyState) effective(i int) float64 {
 	return total
 }
 
-// snapshot rebuilds the remaining-requirements map for the iteration trace.
-func (g *greedyState) snapshot() map[auction.TaskID]float64 {
-	out := make(map[auction.TaskID]float64, len(g.rem))
-	for i, r := range g.rem {
+// snapshot rebuilds a remaining-requirements map for the iteration trace.
+func (g *greedyState) snapshot(rem []float64) map[auction.TaskID]float64 {
+	out := make(map[auction.TaskID]float64, len(rem))
+	for i, r := range rem {
 		out[g.taskIDs[i]] = r
 	}
 	return out
@@ -217,16 +221,18 @@ func (g *greedyState) snapshot() map[auction.TaskID]float64 {
 func newGreedyState(a *auction.Auction) *greedyState {
 	g := &greedyState{
 		taskIDs: make([]auction.TaskID, len(a.Tasks)),
-		rem:     make([]float64, len(a.Tasks)),
+		req:     make([]float64, len(a.Tasks)),
+		cost:    make([]float64, len(a.Bids)),
 		offs:    make([]int, len(a.Bids)+1),
 	}
 	taskIdx := make(map[auction.TaskID]int, len(a.Tasks))
 	for i, task := range a.Tasks {
 		g.taskIDs[i] = task.ID
 		taskIdx[task.ID] = i
-		g.rem[i] = task.RequiredContribution()
+		g.req[i] = task.RequiredContribution()
 	}
 	for i, bid := range a.Bids {
+		g.cost[i] = bid.Cost
 		g.offs[i+1] = g.offs[i] + len(bid.Tasks)
 	}
 	g.flat = make([]term, g.offs[len(a.Bids)])
@@ -237,6 +243,34 @@ func newGreedyState(a *auction.Auction) *greedyState {
 		}
 	}
 	return g
+}
+
+// take subtracts bid idx's contributions from the remaining requirements
+// rem (clamped at zero) and returns how many requirements it closed.
+func (g *greedyState) take(rem []float64, idx int) int {
+	closed := 0
+	for _, t := range g.flat[g.offs[idx]:g.offs[idx+1]] {
+		r := rem[t.task] - t.q
+		if r < 0 {
+			r = 0
+		}
+		if rem[t.task] > FeasibilityTol && r <= FeasibilityTol {
+			closed++
+		}
+		rem[t.task] = r
+	}
+	return closed
+}
+
+// openCount counts the requirements rem still leaves open.
+func openCount(rem []float64) int {
+	open := 0
+	for _, r := range rem {
+		if r > FeasibilityTol {
+			open++
+		}
+	}
+	return open
 }
 
 // Greedy is the paper's Algorithm 4: repeatedly select the user with the
@@ -256,84 +290,181 @@ func newGreedyState(a *auction.Auction) *greedyState {
 // requirements are tracked with an incremental open-task count instead of a
 // per-round map scan.
 func Greedy(a *auction.Auction) (Solution, error) {
-	g := newGreedyState(a)
-	open := 0
-	for _, r := range g.rem {
-		if r > FeasibilityTol {
-			open++
-		}
+	r, err := GreedyRun(a)
+	if err != nil {
+		return Solution{}, err
 	}
+	return r.Solution, nil
+}
 
-	var sol Solution
-	effs := scoreAllBids(g, len(a.Bids))
-	sol.Evals = int64(len(a.Bids))
-	h := make(lazyHeap, 0, len(a.Bids))
-	for i, eff := range effs {
+// Run is a Greedy cover that keeps what it takes to replay the greedy
+// without one of its bids (see Without): the dense projection, the dense
+// remaining requirements each iteration started from, every bid's initial
+// ratio, and the iteration that picked each bid. A Run is read-only, so
+// Without may be called from concurrent goroutines.
+type Run struct {
+	Solution
+	g    *greedyState
+	rems []float64 // row t, len(g.req) wide: remaining before iteration t
+	// ratio0 holds each bid's initial effective-contribution-to-cost ratio
+	// (0 for a bid useless from the start), an upper bound on its ratio in
+	// every later round.
+	ratio0 []float64
+	pick   []int // iteration that selected each bid; len(pick) if none
+}
+
+// GreedyRun is Greedy returning the resumable Run.
+func GreedyRun(a *auction.Auction) (*Run, error) {
+	g := newGreedyState(a)
+	n := len(a.Bids)
+	r := &Run{g: g, pick: make([]int, n)}
+	rem := append([]float64(nil), g.req...)
+	open := openCount(rem)
+
+	// The initial effective contributions become ratio0 in place.
+	r.ratio0 = scoreAllBids(g, rem)
+	r.Evals = int64(n)
+	h := make(lazyHeap, 0, n)
+	for i, eff := range r.ratio0 {
+		r.pick[i] = n // past every iteration: each bid is picked at most once
 		if eff <= FeasibilityTol {
 			// Effective contributions only shrink; a bid useless now is
 			// useless in every later round too.
+			r.ratio0[i] = 0
 			continue
 		}
-		h = append(h, lazyCand{idx: i, eff: eff, ratio: eff / a.Bids[i].Cost})
+		r.ratio0[i] = eff / g.cost[i]
+		h = append(h, lazyCand{idx: i, eff: eff, ratio: r.ratio0[i]})
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.siftDown(i)
 	}
 
-	round := 0
-	for open > 0 {
+	for round := 0; open > 0; round++ {
 		var top lazyCand
 		for {
 			if len(h) == 0 {
-				return Solution{}, ErrInfeasible
+				return nil, ErrInfeasible
 			}
 			if h[0].round == round {
 				top = h.popTop()
 				break
 			}
-			eff := g.effective(h[0].idx)
-			sol.Evals++
+			eff := g.effective(rem, h[0].idx)
+			r.Evals++
 			if eff <= FeasibilityTol {
 				h.popTop()
 				continue
 			}
 			h[0].eff = eff
-			h[0].ratio = eff / a.Bids[h[0].idx].Cost
+			h[0].ratio = eff / g.cost[h[0].idx]
 			h[0].round = round
 			h.siftDown(0)
 		}
-		sol.Iterations = append(sol.Iterations, Iteration{
+		r.pick[top.idx] = len(r.Iterations)
+		r.rems = append(r.rems, rem...)
+		r.Iterations = append(r.Iterations, Iteration{
 			Winner:    top.idx,
-			Remaining: g.snapshot(),
+			Remaining: g.snapshot(rem),
 			Effective: top.eff,
 		})
-		sol.Selected = append(sol.Selected, top.idx)
-		sol.Cost += a.Bids[top.idx].Cost
-		for _, t := range g.flat[g.offs[top.idx]:g.offs[top.idx+1]] {
-			r := g.rem[t.task] - t.q
-			if r < 0 {
-				r = 0
-			}
-			if g.rem[t.task] > FeasibilityTol && r <= FeasibilityTol {
-				open--
-			}
-			g.rem[t.task] = r
-		}
-		round++
+		r.Selected = append(r.Selected, top.idx)
+		r.Cost += g.cost[top.idx]
+		open -= g.take(rem, top.idx)
 	}
-	sort.Ints(sol.Selected)
-	return sol, nil
+	sort.Ints(r.Selected)
+	return r, nil
 }
 
-// scoreAllBids computes every bid's initial effective contribution, fanning
-// out across GOMAXPROCS goroutines on large instances. Each worker writes
-// disjoint index ranges, so the result is deterministic.
-func scoreAllBids(g *greedyState, n int) []float64 {
+// bound is a candidate of the resumed greedy (Run.Without) and an upper
+// bound on its current effective-contribution-to-cost ratio.
+type bound struct {
+	idx   int
+	ratio float64
+}
+
+// Without replays the greedy cover of the auction minus bid i, calling
+// visit with every iteration's winner (an index into the full auction) and
+// effective contribution, in order — the trace Algorithm 5 prices bid i's
+// critical bid against. It returns the effective-contribution evaluations
+// it made, and ErrInfeasible when the requirements cannot be met without
+// bid i; the iterations visited until then stand.
+//
+// Only the iterations from i's pick on are recomputed. Before that pick the
+// replay coincides with this run: bid i was never the argmax there, and
+// removing a bid that is not the argmax changes no argmax, because ties
+// break on the lower index and removal keeps the other bids' relative
+// index order. So the prefix is visited straight from the trace, and the
+// suffix resumes from the remaining requirements i's pick started from,
+// with i and the prefix winners left out. A bid this run never picked
+// changes nothing: its replay is the trace itself.
+//
+// The suffix is short, so it rescans its candidates in index order each
+// round, as GreedyReference does, rather than keeping a heap: on a few
+// rounds a heap spends more sifting out candidates that closed requirements
+// have made useless than the rescan spends scanning. Each candidate carries
+// an upper bound on its ratio (its initial ratio, then its last evaluated
+// one); a candidate whose bound does not beat the best fresh ratio found so
+// far in the round cannot be the round's first strict improvement, so it is
+// skipped unevaluated. Candidates that evaluate useless are dropped.
+func (r *Run) Without(i int, visit func(winner int, effective float64)) (int64, error) {
+	t := min(r.pick[i], len(r.Iterations))
+	for _, it := range r.Iterations[:t] {
+		visit(it.Winner, it.Effective)
+	}
+	if t == len(r.Iterations) {
+		return 0, nil
+	}
+	g := r.g
+	w := len(g.req)
+	rem := append([]float64(nil), r.rems[t*w:(t+1)*w]...)
+	open := openCount(rem)
+	cands := make([]bound, 0, len(r.pick)-t-1)
+	for k, p := range r.pick {
+		if p > t && r.ratio0[k] > 0 { // neither i nor picked before it, and useful
+			cands = append(cands, bound{idx: k, ratio: r.ratio0[k]})
+		}
+	}
+	var evals int64
+	for open > 0 {
+		best, bestRatio, bestEff := -1, 0.0, 0.0
+		live := cands[:0]
+		for _, c := range cands {
+			if c.ratio > bestRatio {
+				eff := g.effective(rem, c.idx)
+				evals++
+				if eff <= FeasibilityTol {
+					continue
+				}
+				c.ratio = eff / g.cost[c.idx]
+				if c.ratio > bestRatio {
+					best, bestRatio, bestEff = len(live), c.ratio, eff
+				}
+			}
+			live = append(live, c)
+		}
+		if best < 0 {
+			return evals, ErrInfeasible
+		}
+		cands = live
+		k := cands[best].idx
+		cands[best].ratio = 0 // selected: a zero bound is never evaluated again
+		visit(k, bestEff)
+		open -= g.take(rem, k)
+	}
+	return evals, nil
+}
+
+// scoreAllBids computes every bid's effective contribution against rem,
+// fanning out across GOMAXPROCS goroutines on large instances. Each worker
+// writes disjoint index ranges, so the result is deterministic.
+func scoreAllBids(g *greedyState, rem []float64) []float64 {
+	n := len(g.cost)
 	effs := make([]float64, n)
 	workers := runtime.GOMAXPROCS(0)
 	if n < parallelEvalMinBids || workers < 2 {
 		for i := range effs {
-			effs[i] = g.effective(i)
+			effs[i] = g.effective(rem, i)
 		}
 		return effs
 	}
@@ -351,7 +482,7 @@ func scoreAllBids(g *greedyState, n int) []float64 {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				effs[i] = g.effective(i)
+				effs[i] = g.effective(rem, i)
 			}
 		}(lo, hi)
 	}

@@ -92,7 +92,7 @@ func (c *Codec) writeBinary(env *Envelope) error {
 		return ErrMessageTooLarge
 	}
 	var head [binary.MaxVarintLen64 + 4]byte
-	n := binary.PutUvarint(head[:], uint64(len(payload)))
+	n := putFrameLength(head[:], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(head[n:], crc32.ChecksumIEEE(payload))
 	if _, err := c.w.Write(head[:n+4]); err != nil {
 		return fmt.Errorf("wire: write %s: %w", env.Type, err)
@@ -101,6 +101,22 @@ func (c *Codec) writeBinary(env *Envelope) error {
 		return fmt.Errorf("wire: write %s: %w", env.Type, err)
 	}
 	return nil
+}
+
+// putFrameLength writes a frame's payload length as a uvarint into head and
+// returns the bytes written. A binary frame must never start with '{':
+// Codec.Read and the router take a '{' where a frame should start for a
+// JSON line from a JSON-only peer. The minimal uvarint of 123 is that byte
+// (0x7B), so length 123 is written in its two-byte form 0xFB 0x00 instead,
+// which every uvarint reader decodes to the same 123. No other length
+// starts with 0x7B: a one-byte uvarint is the length itself, and the first
+// byte of a longer one has the continuation bit set.
+func putFrameLength(head []byte, size uint64) int {
+	if size == '{' {
+		head[0], head[1] = '{'|0x80, 0
+		return 2
+	}
+	return binary.PutUvarint(head, size)
 }
 
 // readBinary reads one frame from the stream and decodes its envelope. The
@@ -145,8 +161,9 @@ func (c *Codec) readBinary() (*Envelope, error) {
 
 // ReadRawBinaryFrame reads one complete binary frame (length prefix, CRC,
 // payload) and returns its raw bytes, for relays that forward frames
-// without re-encoding (the cluster router). The returned slice is freshly
-// allocated.
+// without re-encoding (the cluster router). The length prefix is re-encoded
+// with putFrameLength, so a relayed frame never starts with '{' either. The
+// returned slice is freshly allocated.
 func ReadRawBinaryFrame(r *bufio.Reader) ([]byte, error) {
 	size, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -156,7 +173,7 @@ func ReadRawBinaryFrame(r *bufio.Reader) ([]byte, error) {
 		return nil, ErrMessageTooLarge
 	}
 	var head [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(head[:], size)
+	n := putFrameLength(head[:], size)
 	frame := make([]byte, n+int(size)+4)
 	copy(frame, head[:n])
 	if _, err := io.ReadFull(r, frame[n:]); err != nil {

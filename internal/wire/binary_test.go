@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"reflect"
 	"strings"
@@ -309,6 +310,139 @@ func TestBinaryTruncatedPayload(t *testing.T) {
 		}
 		if _, err := codec.Read(); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded successfully", cut, len(full))
+		}
+	}
+}
+
+// paddedTo returns a copy of env whose binary payload is exactly size
+// bytes, reached by padding the campaign name, or nil if env is already
+// too large.
+func paddedTo(t *testing.T, env *Envelope, size int) *Envelope {
+	t.Helper()
+	for pad := 0; pad < size; pad++ {
+		padded := *env
+		padded.Campaign = env.Campaign + strings.Repeat("x", pad)
+		payload, err := appendEnvelope(nil, &padded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(payload) == size {
+			return &padded
+		}
+		if len(payload) > size {
+			return nil
+		}
+	}
+	return nil
+}
+
+// TestBinaryFrame123Bytes is the regression test for frames whose payload
+// is exactly 123 bytes: the minimal uvarint of 123 is '{', which a binary
+// reader takes for a JSON line from a JSON-only peer. Such frames must
+// survive the codec in both directions and the router's raw-frame relay.
+func TestBinaryFrame123Bytes(t *testing.T) {
+	const size = '{'
+	tested := 0
+	for _, base := range testEnvelopes() {
+		env := paddedTo(t, base, size)
+		if env == nil {
+			continue
+		}
+		tested++
+
+		// Agent → platform: a binary client codec into a server codec.
+		var up bytes.Buffer
+		client := NewBinaryCodec(&up)
+		if err := client.Write(env); err != nil {
+			t.Fatal(err)
+		}
+		if err := client.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if up.Bytes()[1] == '{' {
+			t.Fatalf("%s: frame starts with '{'", env.Type)
+		}
+		server, err := NewServerCodec(&up)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := server.Read()
+		if err != nil {
+			t.Fatalf("%s: server read: %v", env.Type, err)
+		}
+		if !reflect.DeepEqual(got, env) {
+			t.Fatalf("%s: server read\n got %+v\nwant %+v", env.Type, got, env)
+		}
+
+		// Platform → agent: the server's reply read back by the client.
+		var down bytes.Buffer
+		server = &Codec{r: bufio.NewReader(&down), w: bufio.NewWriter(&down), binary: true}
+		if err := server.Write(env); err != nil {
+			t.Fatal(err)
+		}
+		if err := server.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		client = &Codec{r: bufio.NewReader(&down), w: bufio.NewWriter(io.Discard), binary: true}
+		if got, err = client.Read(); err != nil {
+			t.Fatalf("%s: client read: %v", env.Type, err)
+		}
+		if !reflect.DeepEqual(got, env) {
+			t.Fatalf("%s: client read\n got %+v\nwant %+v", env.Type, got, env)
+		}
+	}
+	if tested < 5 {
+		t.Fatalf("only %d envelope types padded to %d bytes", tested, size)
+	}
+}
+
+// TestRawBinaryFrame123BytesRelay covers the router's path: a frame read
+// with ReadRawBinaryFrame and forwarded verbatim must decode on the far
+// side, including a frame a peer wrote with the minimal (0x7B) length
+// prefix, which the relay re-encodes.
+func TestRawBinaryFrame123BytesRelay(t *testing.T) {
+	env := paddedTo(t, testEnvelopes()[9], '{')
+	if env == nil {
+		t.Fatal("bid batch envelope does not pad to 123 bytes")
+	}
+	payload, err := appendEnvelope(nil, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crc [4]byte
+	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
+	minimal := append(append([]byte{'{'}, crc[:]...), payload...)
+
+	var written bytes.Buffer
+	client := NewBinaryCodec(&written)
+	if err := client.Write(env); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for name, in := range map[string][]byte{"codec": written.Bytes()[1:], "minimal": minimal} {
+		frame, err := ReadRawBinaryFrame(newTestBufioReader(bytes.NewReader(in)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if frame[0] == '{' {
+			t.Fatalf("%s: relayed frame starts with '{'", name)
+		}
+		relayed := append([]byte{BinaryVersion}, frame...)
+		server, err := NewServerCodec(bytes.NewBuffer(relayed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := server.Read()
+		if err != nil {
+			t.Fatalf("%s: read relayed frame: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, env) {
+			t.Fatalf("%s: relayed\n got %+v\nwant %+v", name, got, env)
+		}
+		if got, err = DecodeBinaryFrame(frame); err != nil || !reflect.DeepEqual(got, env) {
+			t.Fatalf("%s: DecodeBinaryFrame = %+v, %v", name, got, err)
 		}
 	}
 }

@@ -1,12 +1,13 @@
 #!/bin/sh
 # Pre-PR gate, equivalent to `make check` for environments without make:
-# gofmt, vet, build, the full test suite, race-enabled tests of every
-# concurrency-bearing package, a seed-corpus pass of the wire fuzz
-# targets, and a one-iteration smoke run of the solver benchmarks (which
-# exercises the optimized-vs-reference pairs end to end). The experiment
-# harnesses are excluded from the race pass only because their compute
-# sweeps exceed any reasonable gate under race instrumentation; their
-# concurrency is race-covered via these packages.
+# gofmt, vet, build, the full test suite (plus the perfbench module's
+# tests), race-enabled tests of every concurrency-bearing package, a
+# seed-corpus pass of the wire fuzz targets, and a one-iteration smoke run
+# of the solver benchmarks (which exercises the optimized-vs-reference
+# pairs end to end). The experiment harnesses are excluded from the race
+# pass only because their compute sweeps exceed any reasonable gate under
+# race instrumentation; their concurrency is race-covered via these
+# packages.
 set -eux
 
 unformatted=$(gofmt -l .)
@@ -17,6 +18,10 @@ fi
 go vet ./...
 go build ./...
 go test ./...
+# The benchmark harness is its own module, which root ./... does not reach;
+# its tests run every workload briefly and replay each in-process round,
+# requiring identical winners and awards.
+(cd perfbench && go test ./...)
 go test -race ./internal/engine/... ./internal/obs/... ./internal/obs/span \
 	./internal/platform/... ./internal/agent/... ./internal/wire/... \
 	./internal/store/... ./internal/cluster/... \

@@ -1,7 +1,8 @@
-# Developer entry points. `make check` is the pre-PR gate: vet, build, the
-# full test suite (plus the perfbench module's own tests, which the root
-# module's ./... does not reach), race-enabled tests of every
-# concurrency-bearing package, and a seed-corpus pass of the wire fuzzers.
+# Developer entry points. `make check` is the pre-PR gate and has one
+# definition, scripts/check.sh: gofmt, vet, build, the full test suite (plus
+# the perfbench module's own tests, which the root module's ./... does not
+# reach), race-enabled tests of every concurrency-bearing package, a
+# seed-corpus pass of the fuzzers, and the smoke gates below.
 
 GO ?= go
 
@@ -14,7 +15,7 @@ RACE_PKGS = ./internal/engine/... ./internal/obs/... ./internal/obs/span \
 	./internal/store/... ./internal/cluster/... \
 	./internal/reputation/... ./internal/execution/... \
 	./internal/mechanism/... ./internal/knapsack/... ./internal/setcover/... \
-	./cmd/crowdsim
+	./cmd/crowdsim ./cmd/platformd
 
 # Solver and mechanism hot-path benchmarks, including the *Reference
 # baselines the optimized paths are compared against.
@@ -48,20 +49,7 @@ bench-json:
 	sh scripts/bench_json.sh
 
 check:
-	$(GO) vet ./...
-	$(GO) build ./...
-	$(GO) test ./...
-	$(MAKE) perfbench-test
-	$(GO) test -race $(RACE_PKGS)
-	$(MAKE) fuzz-seed
-	$(MAKE) obsctl-roundtrip
-	$(GO) test -run '^$$' -bench BenchmarkSpanOverhead -benchtime 3x ./internal/engine
-	$(MAKE) recovery-smoke
-	$(MAKE) audit-smoke
-	$(MAKE) cluster-smoke
-	$(MAKE) swarm-smoke
-	$(MAKE) trace-smoke
-	$(MAKE) reputation-smoke
+	sh scripts/check.sh
 
 # The benchmark harness is its own module (perfbench/go.mod), so root
 # `go test ./...` skips it. Its tests run every workload briefly and replay

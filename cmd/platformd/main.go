@@ -2,6 +2,14 @@
 // tasks, collects sealed bids from agentd processes, runs the fault-tolerant
 // mechanism, and settles execution-contingent rewards.
 //
+// Outside cluster mode platformd drives one multi-campaign engine
+// (internal/engine). By default it serves a single campaign named
+// "default", which campaign-less agents reach; -campaigns N serves c1..cN on
+// one port instead. It exits once every campaign has served its rounds,
+// printing the engine's metrics snapshot. A round that fails for any reason
+// other than an infeasible requirement stops serving, and platformd exits
+// non-zero.
+//
 // Example (single task, three bidders, one round):
 //
 //	platformd -addr 127.0.0.1:7373 -tasks 1 -requirement 0.9 -bidders 3
@@ -10,8 +18,7 @@
 //
 //	platformd -tasks 5 -bidders 10 -window 30s
 //
-// Example (engine mode: eight concurrent campaigns c1..c8 on one port, two
-// rounds each, engine metrics printed at exit):
+// Example (eight concurrent campaigns c1..c8 on one port, two rounds each):
 //
 //	platformd -campaigns 8 -tasks 2 -bidders 5 -rounds 2 -window 30s
 //
@@ -52,13 +59,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -76,51 +83,67 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:])
+	stop()
+	if err != nil {
 		slog.Error("platformd failed", "err", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args as platformd's command line and serves until the
+// campaigns finish or ctx is cancelled.
+func run(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("platformd", flag.ExitOnError)
 	var (
-		addr        = flag.String("addr", "127.0.0.1:7373", "listen address")
-		tasks       = flag.Int("tasks", 1, "number of tasks to publish (IDs 1..n)")
-		requirement = flag.Float64("requirement", 0.8, "PoS requirement per task")
-		bidders     = flag.Int("bidders", 3, "bids to collect before running the auction")
-		alpha       = flag.Float64("alpha", mechanism.DefaultAlpha, "reward scaling factor")
-		epsilon     = flag.Float64("epsilon", 0.5, "FPTAS parameter (single task)")
-		window      = flag.Duration("window", 0, "bid window after the first bid (0 = wait for all)")
-		rounds      = flag.Int("rounds", 1, "auction rounds to serve before exiting")
-		campaigns   = flag.Int("campaigns", 0, "serve this many concurrent campaigns (c1..cN) on one port (0 = legacy single-campaign mode)")
-		workers     = flag.Int("workers", 0, "winner-determination worker pool size (0 = auto; -campaigns mode)")
-		journal     = flag.String("journal", "", "append one JSON line per round to this file")
-		spanJournal = flag.String("span-journal", "", "record lifecycle spans (campaign/round/phase/solver) to this JSONL file, rotated by size")
-		nodeFlag    = flag.String("node", "", "node identity stamped into span records and cross-process trace context, so obsctl stitch can merge this journal with other nodes' (default: shard@addr in cluster node mode, \"router\" for the router, else \"platform\")")
-		stateDir    = flag.String("state-dir", "", "durable state directory: campaign events are written to a WAL there, and on restart the log is replayed to resume campaigns at the last durable round boundary (empty = in-memory only)")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, /readyz, /debug/rounds, /debug/spans, /debug/audit, and pprof on this address (empty = off)")
-		auditFlag   = flag.Bool("audit", false, "run the live mechanism auditor: every settled round is checked against the paper's economic invariants (IR, budget, α reward gap, settlement arithmetic); violations degrade /readyz and surface on /debug/audit")
-		sloP99      = flag.String("slo-p99", "", "comma-separated span=duration p99 latency targets for the live auditor, e.g. round=250ms,phase.computing=50ms (a bare duration targets the round span); implies -audit")
-		repFlag     = flag.Bool("reputation", false, "close the learning loop: learn per-user reliability from execution outcomes, discount declared PoS at winner determination (payments stay on the declared contract), checkpoint the learned state into the WAL, and surface it on /metrics and /debug/reputation")
-		repPrior    = flag.Float64("reputation-prior", 0, "reputation prior pseudo-strength pulling unknown users toward reliability 1 (0 = default)")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		version     = flag.Bool("version", false, "print version and exit")
+		addr        = fs.String("addr", "127.0.0.1:7373", "listen address")
+		tasks       = fs.Int("tasks", 1, "number of tasks to publish (IDs 1..n)")
+		requirement = fs.Float64("requirement", 0.8, "PoS requirement per task")
+		bidders     = fs.Int("bidders", 3, "bids to collect before running the auction")
+		alpha       = fs.Float64("alpha", mechanism.DefaultAlpha, "reward scaling factor")
+		epsilon     = fs.Float64("epsilon", 0.5, "FPTAS parameter (single task)")
+		window      = fs.Duration("window", 0, "bid window after the first bid (0 = wait for all)")
+		rounds      = fs.Int("rounds", 1, "auction rounds to serve before exiting")
+		campaigns   = fs.Int("campaigns", 0, "serve this many concurrent campaigns (c1..cN) on one port (0 = one campaign named \"default\")")
+		workers     = fs.Int("workers", 0, "winner-determination worker pool size (0 = auto)")
+		journal     = fs.String("journal", "", "append one JSON line per round to this file")
+		spanJournal = fs.String("span-journal", "", "record lifecycle spans (campaign/round/phase/solver) to this JSONL file, rotated by size")
+		nodeFlag    = fs.String("node", "", "node identity stamped into span records and cross-process trace context, so obsctl stitch can merge this journal with other nodes' (default: shard@addr in cluster node mode, \"router\" for the router, else \"platform\")")
+		stateDir    = fs.String("state-dir", "", "durable state directory: campaign events are written to a WAL there, and on restart the log is replayed to resume campaigns at the last durable round boundary (empty = in-memory only)")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /healthz, /readyz, /debug/rounds, /debug/spans, /debug/audit, and pprof on this address (empty = off)")
+		auditFlag   = fs.Bool("audit", false, "run the live mechanism auditor: every settled round is checked against the paper's economic invariants (IR, budget, α reward gap, settlement arithmetic); violations degrade /readyz and surface on /debug/audit")
+		sloP99      = fs.String("slo-p99", "", "comma-separated span=duration p99 latency targets for the live auditor, e.g. round=250ms,phase.computing=50ms (a bare duration targets the round span); implies -audit")
+		repFlag     = fs.Bool("reputation", false, "close the learning loop: learn per-user reliability from execution outcomes, discount declared PoS at winner determination (payments stay on the declared contract), checkpoint the learned state into the WAL, and surface it on /metrics and /debug/reputation")
+		repPrior    = fs.Float64("reputation-prior", 0, "reputation prior pseudo-strength pulling unknown users toward reliability 1 (0 = default)")
+		logLevel    = fs.String("log-level", "info", "log level: debug, info, warn, error")
+		version     = fs.Bool("version", false, "print version and exit")
 
 		// Cluster mode: shard the campaign universe across several platformd
 		// processes behind one router. See runCluster.
-		clusterArg = flag.String("cluster", "", "comma-separated shard names forming the cluster ring (enables cluster mode; identical on every member)")
-		shard      = flag.String("shard", "", "shard this node leads (cluster mode; empty with -peers runs the shard router)")
-		peers      = flag.String("peers", "", "router member map shard=addr[|standby],... — leader address first, standbys answer only after promotion")
-		repAddr    = flag.String("rep-addr", "", "replication listen address for this shard's followers (cluster node mode; empty = no followers)")
-		follow     = flag.String("follow", "", "stand by for another shard: shard@leaderRepAddr (cluster node mode)")
-		followDir  = flag.String("follow-dir", "", "replica WAL directory for -follow")
-		followAddr = flag.String("follow-addr", "", "standby agent address for -follow, bound only at promotion")
+		clusterArg = fs.String("cluster", "", "comma-separated shard names forming the cluster ring (enables cluster mode; identical on every member)")
+		shard      = fs.String("shard", "", "shard this node leads (cluster mode; empty with -peers runs the shard router)")
+		peers      = fs.String("peers", "", "router member map shard=addr[|standby],... — leader address first, standbys answer only after promotion")
+		repAddr    = fs.String("rep-addr", "", "replication listen address for this shard's followers (cluster node mode; empty = no followers)")
+		follow     = fs.String("follow", "", "stand by for another shard: shard@leaderRepAddr (cluster node mode)")
+		followDir  = fs.String("follow-dir", "", "replica WAL directory for -follow")
+		followAddr = fs.String("follow-addr", "", "standby agent address for -follow, bound only at promotion")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *version {
 		fmt.Println("platformd " + buildinfo.String())
 		return nil
+	}
+	switch {
+	case *tasks < 1:
+		return fmt.Errorf("-tasks %d must be at least 1", *tasks)
+	case *rounds < 1:
+		return fmt.Errorf("-rounds %d must be at least 1", *rounds)
+	case *campaigns < 0:
+		return fmt.Errorf("-campaigns %d must not be negative", *campaigns)
 	}
 
 	sloCfg, err := parseSLOTargets(*sloP99)
@@ -181,9 +204,6 @@ func run() error {
 		spanSinks = append(spanSinks, sj)
 		slog.Info("span journal attached", "path", *spanJournal, "node", nodeName)
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	if *clusterArg != "" {
 		return runCluster(ctx, clusterOptions{
@@ -250,7 +270,7 @@ func run() error {
 	}
 
 	// Recover durable state, if configured. The WAL is the first event
-	// store; a round journal rides the same stream through a JournalStore.
+	// store; the round journal rides the same stream through a JournalStore.
 	var rec *platform.Recovered
 	var eventStore store.Store
 	if *stateDir != "" {
@@ -274,11 +294,7 @@ func run() error {
 			"dropped_segments", r.Info.DroppedSegments)
 		eventStore = r.WAL
 	}
-	// In durable or engine mode the journal is derived from the event
-	// stream (one encoder, no drift); legacy single-campaign mode keeps the
-	// OnRound path below.
-	journalViaStore := journalFile != nil && (*stateDir != "" || *campaigns > 0)
-	if journalViaStore {
+	if journalFile != nil {
 		var seed *store.State
 		if rec != nil {
 			seed = rec.State
@@ -307,72 +323,24 @@ func run() error {
 		}
 	}
 
-	if *campaigns > 0 || rec.HasCampaigns() && len(rec.State.Order) > 1 {
-		return runEngine(ctx, engineOptions{
-			addr:            *addr,
-			node:            nodeName,
-			tasks:           specs,
-			bidders:         *bidders,
-			window:          *window,
-			rounds:          *rounds,
-			campaigns:       *campaigns,
-			workers:         *workers,
-			alpha:           *alpha,
-			epsilon:         *epsilon,
-			journal:         journalFile,
-			spanSinks:       spanSinks,
-			store:           eventStore,
-			recovered:       rec,
-			ops:             ops,
-			journalViaStore: journalViaStore,
-			aud:             aud,
-			rep:             rep,
-		})
-	}
-
-	cfg := platform.Config{
-		Tasks:           specs,
-		ExpectedBidders: *bidders,
-		BidWindow:       *window,
-		Alpha:           *alpha,
-		Epsilon:         *epsilon,
-	}
-	start := time.Now()
-	opts := platform.RoundsOptions{
-		Addr:      *addr,
-		Rounds:    *rounds,
-		SpanSinks: spanSinks,
-		Store:     eventStore,
-		OnReady: func(bound string) {
-			slog.Info("listening", "addr", bound, "tasks", *tasks,
-				"requirement", *requirement, "bidders", *bidders)
-		},
-		OnEngine: func(eng *engine.Engine) {
-			ops.setEngine(eng)
-			if aud != nil {
-				aud.SetSpans(eng.SpanTracer())
-			}
-		},
-		OnRound: func(round int, result platform.RoundResult) {
-			logRound("", round, result, time.Since(start))
-			if journalFile != nil && !journalViaStore {
-				entry := platform.NewJournalEntry(round, specs, result)
-				if err := platform.WriteJournal(journalFile, entry); err != nil {
-					slog.Error("round journal write", "round", round, "err", err)
-				}
-			}
-		},
-	}
-	if aud != nil {
-		opts.AuditStatus = aud.Status
-	}
-	opts.Reputation = rep
-	if rec.HasCampaigns() {
-		opts.Restore = rec.State
-		slog.Info("resuming recovered campaign; -tasks/-bidders/-rounds flags ignored")
-	}
-	_, err = platform.RunRounds(ctx, cfg, opts)
-	return err
+	return runEngine(ctx, engineOptions{
+		addr:      *addr,
+		node:      nodeName,
+		tasks:     specs,
+		bidders:   *bidders,
+		window:    *window,
+		rounds:    *rounds,
+		campaigns: *campaigns,
+		workers:   *workers,
+		alpha:     *alpha,
+		epsilon:   *epsilon,
+		spanSinks: spanSinks,
+		store:     eventStore,
+		recovered: rec,
+		ops:       ops,
+		aud:       aud,
+		rep:       rep,
+	})
 }
 
 // parseSLOTargets decodes the -slo-p99 flag: comma-separated span=duration
@@ -410,24 +378,22 @@ func parseSLOTargets(s string) (*audit.SLOConfig, error) {
 }
 
 type engineOptions struct {
-	addr            string
-	node            string
-	tasks           []auction.Task
-	bidders         int
-	window          time.Duration
-	rounds          int
-	campaigns       int
-	workers         int
-	alpha           float64
-	epsilon         float64
-	journal         *os.File
-	spanSinks       []span.Sink
-	store           store.Store
-	recovered       *platform.Recovered
-	ops             *opsState
-	journalViaStore bool
-	aud             *audit.Auditor
-	rep             *reputation.Store
+	addr      string
+	node      string
+	tasks     []auction.Task
+	bidders   int
+	window    time.Duration
+	rounds    int
+	campaigns int // 0 registers one campaign named "default"
+	workers   int
+	alpha     float64
+	epsilon   float64
+	spanSinks []span.Sink
+	store     store.Store
+	recovered *platform.Recovered
+	ops       *opsState
+	aud       *audit.Auditor
+	rep       *reputation.Store
 }
 
 // opsState is the swap point between "recovering" and "serving" for the ops
@@ -533,12 +499,13 @@ func serveOps(addr string, ops *opsState) (*obs.OpsServer, error) {
 	return srv, nil
 }
 
-// runEngine serves N concurrent campaigns on one listener and prints the
-// engine's metrics snapshot on exit.
+// runEngine serves the recovered campaigns, or fresh ones from the flags,
+// on one listener and prints the engine's metrics snapshot on exit. A round
+// error other than mechanism.ErrInfeasible cancels serving and is returned.
 func runEngine(ctx context.Context, opts engineOptions) error {
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	start := time.Now()
-	var journalMu sync.Mutex
-	journalSeq := 0
 	ecfg := engine.Config{
 		Workers:    opts.workers,
 		NodeID:     opts.node,
@@ -546,25 +513,9 @@ func runEngine(ctx context.Context, opts engineOptions) error {
 		Store:      opts.store,
 		Reputation: opts.rep,
 		OnRound: func(r engine.RoundResult) {
-			logRound(r.Campaign, r.Round, platform.RoundResult{
-				Outcome:     r.Outcome,
-				Bids:        r.Bids,
-				Settlements: r.Settlements,
-				Err:         r.Err,
-			}, time.Since(start))
-			if opts.journal != nil && !opts.journalViaStore {
-				journalMu.Lock()
-				defer journalMu.Unlock()
-				journalSeq++
-				entry := platform.NewJournalEntry(journalSeq, opts.tasks, platform.RoundResult{
-					Outcome:     r.Outcome,
-					Bids:        r.Bids,
-					Settlements: r.Settlements,
-					Err:         r.Err,
-				})
-				if err := platform.WriteJournal(opts.journal, entry); err != nil {
-					slog.Error("round journal write", "campaign", r.Campaign, "round", r.Round, "err", err)
-				}
+			logRound(r, time.Since(start))
+			if r.Err != nil && !errors.Is(r.Err, mechanism.ErrInfeasible) {
+				cancel(fmt.Errorf("campaign %s round %d: %w", r.Campaign, r.Round, r.Err))
 			}
 		},
 	}
@@ -583,9 +534,16 @@ func runEngine(ctx context.Context, opts engineOptions) error {
 		slog.Info("resuming recovered campaigns; campaign flags ignored",
 			"campaigns", len(opts.recovered.State.Order))
 	} else {
-		for i := 0; i < opts.campaigns; i++ {
+		ids := []string{"default"}
+		if opts.campaigns > 0 {
+			ids = make([]string, opts.campaigns)
+			for i := range ids {
+				ids[i] = fmt.Sprintf("c%d", i+1)
+			}
+		}
+		for _, id := range ids {
 			err := eng.AddCampaign(engine.CampaignConfig{
-				ID:              fmt.Sprintf("c%d", i+1),
+				ID:              id,
 				Tasks:           opts.tasks,
 				ExpectedBidders: opts.bidders,
 				BidWindow:       opts.window,
@@ -611,29 +569,27 @@ func runEngine(ctx context.Context, opts engineOptions) error {
 	err := eng.Serve(ctx)
 	fmt.Printf("\nengine metrics after %s:\n%s\n",
 		time.Since(start).Round(time.Millisecond), eng.Snapshot())
+	if cause := context.Cause(ctx); cause != nil {
+		return cause // the first aborting round error, or the caller's cancellation
+	}
 	return err
 }
 
-// logRound summarizes one completed auction round; campaign is empty in
-// single-campaign mode.
-func logRound(campaign string, round int, result platform.RoundResult, elapsed time.Duration) {
-	log := slog.Default()
-	if campaign != "" {
-		log = log.With("campaign", campaign)
-	}
-	log = log.With("round", round)
-	if result.Err != nil {
-		log.Warn("round void", "elapsed", elapsed.Round(time.Millisecond), "err", result.Err)
+// logRound summarizes one completed auction round.
+func logRound(r engine.RoundResult, elapsed time.Duration) {
+	log := slog.Default().With("campaign", r.Campaign, "round", r.Round)
+	if r.Err != nil {
+		log.Warn("round void", "elapsed", elapsed.Round(time.Millisecond), "err", r.Err)
 		return
 	}
 	log.Info("round settled",
 		"elapsed", elapsed.Round(time.Millisecond),
-		"mechanism", result.Outcome.Mechanism,
-		"bids", len(result.Bids),
-		"winners", len(result.Outcome.Selected),
-		"social_cost", fmt.Sprintf("%.2f", result.Outcome.SocialCost))
-	for _, aw := range result.Outcome.Awards {
-		settle, reported := result.Settlements[aw.User]
+		"mechanism", r.Outcome.Mechanism,
+		"bids", len(r.Bids),
+		"winners", len(r.Outcome.Selected),
+		"social_cost", fmt.Sprintf("%.2f", r.Outcome.SocialCost))
+	for _, aw := range r.Outcome.Awards {
+		settle, reported := r.Settlements[aw.User]
 		switch {
 		case !reported:
 			log.Info("winner unreported", "agent", int(aw.User), "critical_pos", fmt.Sprintf("%.3f", aw.CriticalPoS))

@@ -24,8 +24,9 @@
 //     settlement, achieved-PoS audits;
 //   - internal/workload, internal/experiments — the evaluation workloads of
 //     Tables II/III and one harness per figure/table of §IV;
-//   - internal/wire, internal/platform, internal/agent — the auction as a
-//     real client/server protocol over TCP.
+//   - internal/wire, internal/engine, internal/agent — the auction as a
+//     real client/server protocol over TCP; internal/platform keeps its
+//     auditable round journal.
 //
 // Entry points: cmd/crowdsim (end-to-end pipeline), cmd/benchfig
 // (regenerate every figure/table), cmd/platformd and cmd/agentd (the

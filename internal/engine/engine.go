@@ -75,10 +75,6 @@ type Config struct {
 	// (round is 1-based). Initial rounds are reported when Serve starts.
 	OnRoundOpen func(campaign string, round int)
 
-	// TraceCapacity bounds the round-trace ring buffer (events, rounded up
-	// to a power of two). Zero means obs.DefaultTraceCapacity.
-	TraceCapacity int
-
 	// SpanSinks attaches additional sinks (typically a durable span.Journal)
 	// to the engine's lifecycle tracer. The in-memory ring behind
 	// /debug/spans is attached by default; sinks listed here receive the
@@ -114,10 +110,11 @@ type Config struct {
 	// AuditStatus, if set, supplies the live auditor's summary for the
 	// engine's Readiness report: degraded campaigns are flagged and the
 	// status rides along so /readyz can answer 503 on a violated invariant
-	// or breaching SLO. The engine deliberately takes a closure, not an
-	// auditor — the auditor lives above the engine in the import graph
-	// (it replays platform rules) and is wired in by platformd or a
-	// cluster node. Must be quick and safe to call concurrently.
+	// or breaching SLO. The engine takes a closure, not an auditor: the
+	// auditor is a fold over the event stream that the engine never
+	// drives — it often tails the WAL off the emit path — and platformd or
+	// a cluster node wires the two together. Must be quick and safe to
+	// call concurrently.
 	AuditStatus func() *obs.AuditStatus
 }
 
@@ -216,7 +213,7 @@ func New(cfg Config) *Engine {
 		cfg:       cfg,
 		campaigns: make(map[string]*campaign),
 		allClosed: make(chan struct{}),
-		trace:     obs.NewTrace(cfg.TraceCapacity),
+		trace:     obs.NewTrace(0),
 	}
 	if !cfg.DisableObservability {
 		sinks := cfg.SpanSinks

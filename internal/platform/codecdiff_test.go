@@ -14,11 +14,12 @@ import (
 	"crowdsense/internal/wire"
 )
 
-// runCodecRounds plays a fixed two-round workload against a fresh platform
+// runCodecRounds plays a fixed two-round workload against a fresh engine
 // with every agent on the given codec, staggering bid admission so the bid
-// order — and with it the journal — is deterministic. It returns the settled
-// rounds and the journal bytes.
-func runCodecRounds(t *testing.T, binary bool) ([]RoundResult, []byte) {
+// order — and with it the journal — is deterministic. Each round's agents
+// start only once the engine has opened that round for bids. It returns the
+// settled rounds and the journal bytes.
+func runCodecRounds(t *testing.T, binary bool) ([]engine.RoundResult, []byte) {
 	t.Helper()
 	var journal bytes.Buffer
 	js, err := NewJournalStore(&journal, nil)
@@ -26,31 +27,25 @@ func runCodecRounds(t *testing.T, binary bool) ([]RoundResult, []byte) {
 		t.Fatal(err)
 	}
 
-	var eng *engine.Engine
-	engReady := make(chan struct{})
-	addrCh := make(chan string, 4)
+	opened := make(chan int, 2)
+	eng := engine.New(engine.Config{
+		ConnTimeout: 10 * time.Second,
+		Store:       js,
+		OnRoundOpen: func(_ string, round int) { opened <- round },
+	})
+	cc := singleTaskCampaign(2)
+	cc.Rounds = 2
+	if err := eng.AddCampaign(cc); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	addr := eng.Addr().String()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-
-	type outcome struct {
-		rounds []RoundResult
-		err    error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		rounds, err := RunRounds(ctx, singleTaskConfig(2), RoundsOptions{
-			Addr:   "127.0.0.1:0",
-			Rounds: 2,
-			Store:  js,
-			OnEngine: func(e *engine.Engine) {
-				eng = e
-				close(engReady)
-			},
-			OnReady: func(addr string) { addrCh <- addr },
-		})
-		done <- outcome{rounds, err}
-	}()
-	<-engReady
+	done := make(chan error, 1)
+	go func() { done <- eng.Serve(ctx) }()
 
 	waitAdmitted := func(want uint64) {
 		t.Helper()
@@ -63,7 +58,7 @@ func runCodecRounds(t *testing.T, binary bool) ([]RoundResult, []byte) {
 	}
 
 	for round := 1; round <= 2; round++ {
-		addr := <-addrCh
+		<-opened
 		errs := make(chan error, 2)
 		for i := 0; i < 2; i++ {
 			user := auction.UserID(10*round + i + 1)
@@ -89,19 +84,18 @@ func runCodecRounds(t *testing.T, binary bool) ([]RoundResult, []byte) {
 		}
 	}
 
-	out := <-done
-	if out.err != nil {
-		t.Fatalf("RunRounds (binary=%v): %v", binary, out.err)
+	if err := <-done; err != nil {
+		t.Fatalf("Serve (binary=%v): %v", binary, err)
 	}
 	if err := js.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return out.rounds, journal.Bytes()
+	return eng.Results()[defaultCampaign], journal.Bytes()
 }
 
 // normalizeCodecRounds renders rounds with solver work counters stripped —
 // they depend on process-global memo state, not on the auction.
-func normalizeCodecRounds(t *testing.T, rounds []RoundResult) string {
+func normalizeCodecRounds(t *testing.T, rounds []engine.RoundResult) string {
 	t.Helper()
 	type norm struct {
 		Outcome     *mechanism.Outcome

@@ -1,3 +1,11 @@
+// Package platform holds the platform's round journal: the durable,
+// auditable record of every settled auction round. Journal entries are
+// derived from the engine's event stream (JournalStore as a live
+// store.Store, JournalFromState from a recovered or replicated state) and
+// checked offline or live by the paper's economic invariants (CheckRound,
+// Audit, Summarize). Recover reopens a durable state directory for the
+// engine to resume. The auction protocol itself — publish, sealed bids, EC
+// award, report, settle — runs in internal/engine.
 package platform
 
 import (
@@ -52,27 +60,10 @@ type journalSettle struct {
 	Utility float64 `json:"utility"`
 }
 
-// NewJournalEntry converts a completed round into its durable form. It is a
-// thin wrapper over the event-stream path: the result is expressed as the
-// store.RoundRecord the reducer would have built, so live rounds and WAL
-// replays produce identical entries.
-func NewJournalEntry(round int, tasks []auction.Task, result RoundResult) JournalEntry {
-	rec := store.RoundRecord{
-		Round:       round,
-		Bids:        result.Bids,
-		Outcome:     result.Outcome,
-		Settlements: result.Settlements,
-	}
-	if result.Err != nil {
-		rec.Err = result.Err.Error()
-	}
-	return EntryFromRecord("", tasks, rec)
-}
-
 // EntryFromRecord converts one reduced round record into its journal form —
-// the single encoding shared by the live OnRound path, event-stream
-// consumers (JournalStore), and the live auditor. Settlements are emitted in
-// user order so entries are byte-stable across runs and replays.
+// the single encoding shared by the event-stream journal (JournalStore,
+// JournalFromState) and the live auditor. Settlements are emitted in user
+// order so entries are byte-stable across runs and replays.
 func EntryFromRecord(campaignID string, tasks []auction.Task, rec store.RoundRecord) JournalEntry {
 	entry := JournalEntry{Campaign: campaignID, Round: rec.Round}
 	for _, t := range tasks {

@@ -2,16 +2,18 @@ package platform
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 
 	"crowdsense/internal/auction"
 	"crowdsense/internal/mechanism"
+	"crowdsense/internal/store"
 	"crowdsense/internal/wire"
 )
 
-func sampleRound(t *testing.T) ([]auction.Task, RoundResult) {
+// sampleRound settles the paper's §III-A example as round 1, every winner
+// succeeding, in the reduced form the event stream produces.
+func sampleRound(t *testing.T) ([]auction.Task, store.RoundRecord) {
 	t.Helper()
 	tasks := []auction.Task{{ID: 1, Requirement: 0.9}}
 	bids := []auction.Bid{
@@ -35,12 +37,12 @@ func sampleRound(t *testing.T) ([]auction.Task, RoundResult) {
 			Utility: aw.RewardOnSuccess - bids[aw.BidIndex].Cost,
 		}
 	}
-	return tasks, RoundResult{Outcome: out, Bids: bids, Settlements: settlements}
+	return tasks, store.RoundRecord{Round: 1, Outcome: out, Bids: bids, Settlements: settlements}
 }
 
 func TestJournalRoundTrip(t *testing.T) {
 	tasks, result := sampleRound(t)
-	entry := NewJournalEntry(1, tasks, result)
+	entry := EntryFromRecord("", tasks, result)
 	var buf bytes.Buffer
 	if err := WriteJournal(&buf, entry, entry); err != nil {
 		t.Fatal(err)
@@ -66,7 +68,7 @@ func TestJournalRoundTrip(t *testing.T) {
 
 func TestJournalVoidRound(t *testing.T) {
 	tasks := []auction.Task{{ID: 1, Requirement: 0.9}}
-	entry := NewJournalEntry(3, tasks, RoundResult{Err: errors.New("infeasible")})
+	entry := EntryFromRecord("", tasks, store.RoundRecord{Round: 3, Err: "infeasible"})
 	if entry.Error == "" {
 		t.Error("void round lost its error")
 	}
@@ -84,8 +86,8 @@ func TestReadJournalRejectsGarbage(t *testing.T) {
 func TestAuditCleanJournal(t *testing.T) {
 	tasks, result := sampleRound(t)
 	entries := []JournalEntry{
-		NewJournalEntry(1, tasks, result),
-		NewJournalEntry(2, tasks, RoundResult{Err: errors.New("void")}),
+		EntryFromRecord("", tasks, result),
+		EntryFromRecord("", tasks, store.RoundRecord{Round: 2, Err: "void"}),
 	}
 	if findings := Audit(entries); len(findings) != 0 {
 		t.Errorf("clean journal produced findings: %v", findings)
@@ -94,7 +96,7 @@ func TestAuditCleanJournal(t *testing.T) {
 
 func TestAuditDetectsTampering(t *testing.T) {
 	tasks, result := sampleRound(t)
-	base := NewJournalEntry(1, tasks, result)
+	base := EntryFromRecord("", tasks, result)
 
 	overpaid := base
 	overpaid.Settlements = append([]journalSettle(nil), base.Settlements...)
@@ -172,8 +174,8 @@ func costOf(e JournalEntry, user int) float64 {
 func TestSummarize(t *testing.T) {
 	tasks, result := sampleRound(t)
 	entries := []JournalEntry{
-		NewJournalEntry(1, tasks, result),
-		NewJournalEntry(2, tasks, RoundResult{Err: errors.New("void")}),
+		EntryFromRecord("", tasks, result),
+		EntryFromRecord("", tasks, store.RoundRecord{Round: 2, Err: "void"}),
 	}
 	s := Summarize(entries)
 	if s.Rounds != 2 || s.VoidRounds != 1 {

@@ -128,46 +128,6 @@ func TestJournalStoreSurvivesHandover(t *testing.T) {
 	}
 }
 
-// TestJournalStoreMatchesOnRoundPath: the event-stream journal and the
-// legacy OnRound NewJournalEntry path must produce identical lines for the
-// same round (modulo the campaign tag, which only the stream knows).
-func TestJournalStoreMatchesOnRoundPath(t *testing.T) {
-	events := journalEvents("c")
-	var viaStream bytes.Buffer
-	js, err := NewJournalStore(&viaStream, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := store.NewState()
-	for _, ev := range events {
-		if err := js.Append(ev); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Apply(st, ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var viaOnRound bytes.Buffer
-	cs := st.Campaigns["c"]
-	for _, rec := range cs.Completed {
-		result := RoundResult{
-			Bids:        rec.Bids,
-			Outcome:     rec.Outcome,
-			Settlements: rec.Settlements,
-		}
-		entry := NewJournalEntry(rec.Round, cs.Spec.Tasks, result)
-		entry.Campaign = "c"
-		if err := WriteJournal(&viaOnRound, entry); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if viaStream.String() != viaOnRound.String() {
-		t.Errorf("journal encodings diverged:\nstream  %q\nonround %q",
-			viaStream.String(), viaOnRound.String())
-	}
-}
-
 // TestJournalStoreStickyError: an event that does not fit the state poisons
 // the store and every later call reports it.
 func TestJournalStoreStickyError(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 
 	"crowdsense/internal/agent"
 	"crowdsense/internal/auction"
+	"crowdsense/internal/engine"
 )
 
 // crowdsenseGoroutines counts live goroutines parked in this module's code —
@@ -55,24 +56,21 @@ func assertNoLeakedGoroutines(t *testing.T, baseline int) {
 func TestServeCancelledWithArmedBidWindowDoesNotLeak(t *testing.T) {
 	baseline := crowdsenseGoroutines()
 
-	cfg := singleTaskConfig(5) // never reached: the round stays collecting
-	cfg.Tasks[0].Requirement = 0.5
-	cfg.BidWindow = time.Hour // armed but far away; must be stopped on cancel
-	srv, err := NewServer(cfg)
-	if err != nil {
+	cc := singleTaskCampaign(5) // never reached: the round stays collecting
+	cc.Tasks[0].Requirement = 0.5
+	cc.BidWindow = time.Hour // armed but far away; must be stopped on cancel
+	eng := engine.New(sessionConfig)
+	if err := eng.AddCampaign(cc); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
+	if err := eng.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	addr := srv.Addr().String()
+	addr := eng.Addr().String()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() {
-		_, err := srv.Serve(ctx)
-		done <- err
-	}()
+	go func() { done <- eng.Serve(ctx) }()
 
 	// One agent bids (arming the window timer) and then hangs waiting for
 	// an award that will never come.
@@ -104,11 +102,10 @@ func TestServeCancelledWithArmedBidWindowDoesNotLeak(t *testing.T) {
 func TestServeCompletedRoundDoesNotLeak(t *testing.T) {
 	baseline := crowdsenseGoroutines()
 
-	cfg := singleTaskConfig(2)
-	cfg.Tasks[0].Requirement = 0.5
-	cfg.BidWindow = time.Hour // exercised: stopped when the auction starts
-	srv, results, errs := startServer(t, cfg)
-	addr := srv.Addr().String()
+	cc := singleTaskCampaign(2)
+	cc.Tasks[0].Requirement = 0.5
+	cc.BidWindow = time.Hour // exercised: stopped when the auction starts
+	eng, addr, done := startEngine(t, sessionConfig, cc)
 
 	for id := auction.UserID(1); id <= 2; id++ {
 		go func(id auction.UserID) {
@@ -120,12 +117,6 @@ func TestServeCompletedRoundDoesNotLeak(t *testing.T) {
 			})
 		}(id)
 	}
-	select {
-	case <-results:
-	case err := <-errs:
-		t.Fatalf("server: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("round did not complete")
-	}
+	awaitRound(t, eng, done)
 	assertNoLeakedGoroutines(t, baseline)
 }

@@ -10,57 +10,73 @@ import (
 
 	"crowdsense/internal/agent"
 	"crowdsense/internal/auction"
+	"crowdsense/internal/engine"
 	"crowdsense/internal/wire"
 )
 
-func TestNewServerValidation(t *testing.T) {
-	if _, err := NewServer(Config{ExpectedBidders: 3}); err == nil {
-		t.Error("no tasks should fail")
-	}
-	if _, err := NewServer(Config{Tasks: []auction.Task{{ID: 1, Requirement: 0.5}}}); err == nil {
-		t.Error("zero bidders should fail")
-	}
-}
+// sessionConfig bounds per-message I/O in these tests' engines.
+var sessionConfig = engine.Config{ConnTimeout: 10 * time.Second}
 
-// startServer launches a platform on a loopback port.
-func startServer(t *testing.T, cfg Config) (*Server, <-chan RoundResult, <-chan error) {
-	t.Helper()
-	srv, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	results := make(chan RoundResult, 1)
-	errs := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		res, err := srv.Serve(ctx)
-		if err != nil {
-			errs <- err
-			return
-		}
-		results <- res
-	}()
-	return srv, results, errs
-}
+// These session tests drive the engine over loopback TCP as platformd does
+// by default: one campaign under platformd's single-campaign ID, reached by
+// campaign-less agents through the engine's default routing.
+const defaultCampaign = "default"
 
-func singleTaskConfig(n int) Config {
-	return Config{
+func singleTaskCampaign(n int) engine.CampaignConfig {
+	return engine.CampaignConfig{
+		ID:              defaultCampaign,
 		Tasks:           []auction.Task{{ID: 1, Requirement: 0.9}},
 		ExpectedBidders: n,
 		Alpha:           10,
 		Epsilon:         0.5,
-		ConnTimeout:     10 * time.Second,
 	}
+}
+
+// startEngine registers cc on a fresh engine, binds it to a loopback port,
+// and serves it in the background; done yields Serve's error.
+func startEngine(t *testing.T, cfg engine.Config, cc engine.CampaignConfig) (eng *engine.Engine, addr string, done <-chan error) {
+	t.Helper()
+	eng = engine.New(cfg)
+	if err := eng.AddCampaign(cc); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		errs <- eng.Serve(ctx)
+	}()
+	return eng, eng.Addr().String(), errs
+}
+
+// awaitRound waits for a one-round campaign's Serve to return and yields
+// the settled round; a round the mechanism could not settle fails the test.
+func awaitRound(t *testing.T, eng *engine.Engine, done <-chan error) engine.RoundResult {
+	t.Helper()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("server: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("server timed out")
+	}
+	rounds := eng.Results()[defaultCampaign]
+	if len(rounds) == 0 {
+		t.Fatal("round did not complete")
+	}
+	if rounds[0].Err != nil {
+		t.Fatalf("server: %v", rounds[0].Err)
+	}
+	return rounds[0]
 }
 
 func TestSingleTaskRoundOverTCP(t *testing.T) {
 	// The paper's §III-A example: four users, requirement 0.9.
-	srv, results, errs := startServer(t, singleTaskConfig(4))
-	addr := srv.Addr().String()
+	eng, addr, done := startEngine(t, sessionConfig, singleTaskCampaign(4))
 
 	users := []struct {
 		id   auction.UserID
@@ -94,14 +110,7 @@ func TestSingleTaskRoundOverTCP(t *testing.T) {
 			t.Fatalf("agent %d: %v", i+1, err)
 		}
 	}
-	var round RoundResult
-	select {
-	case round = <-results:
-	case err := <-errs:
-		t.Fatalf("server: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("server timed out")
-	}
+	round := awaitRound(t, eng, done)
 
 	// The mechanism's selection covers the requirement at minimum cost
 	// (±ε); the known optimum is 5.
@@ -135,17 +144,16 @@ func TestSingleTaskRoundOverTCP(t *testing.T) {
 }
 
 func TestMultiTaskRoundOverTCP(t *testing.T) {
-	cfg := Config{
+	cc := engine.CampaignConfig{
+		ID: defaultCampaign,
 		Tasks: []auction.Task{
 			{ID: 1, Requirement: 0.6},
 			{ID: 2, Requirement: 0.6},
 		},
 		ExpectedBidders: 3,
 		Alpha:           10,
-		ConnTimeout:     10 * time.Second,
 	}
-	srv, results, errs := startServer(t, cfg)
-	addr := srv.Addr().String()
+	eng, addr, done := startEngine(t, sessionConfig, cc)
 
 	bids := []auction.Bid{
 		auction.NewBid(1, []auction.TaskID{1, 2}, 5, map[auction.TaskID]float64{1: 0.5, 2: 0.6}),
@@ -169,54 +177,15 @@ func TestMultiTaskRoundOverTCP(t *testing.T) {
 		}(i, bid)
 	}
 	wg.Wait()
-	select {
-	case round := <-results:
-		if len(round.Outcome.Selected) == 0 {
-			t.Error("no winners")
-		}
-	case err := <-errs:
-		t.Fatalf("server: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("server timed out")
-	}
-}
-
-func TestBidWindowRunsWithPartialBidders(t *testing.T) {
-	cfg := singleTaskConfig(5) // expects 5, only 2 will come
-	cfg.Tasks[0].Requirement = 0.5
-	cfg.BidWindow = 300 * time.Millisecond
-	srv, results, errs := startServer(t, cfg)
-	addr := srv.Addr().String()
-
-	for id := auction.UserID(1); id <= 2; id++ {
-		go func(id auction.UserID) {
-			_, _ = agent.Run(context.Background(), agent.Config{
-				Addr: addr,
-				User: id,
-				TrueBid: auction.NewBid(id, []auction.TaskID{1}, 2,
-					map[auction.TaskID]float64{1: 0.8}),
-				Seed:    int64(id),
-				Timeout: 10 * time.Second,
-			})
-		}(id)
-	}
-	select {
-	case round := <-results:
-		if len(round.Bids) != 2 {
-			t.Errorf("auction ran with %d bids, want 2", len(round.Bids))
-		}
-	case err := <-errs:
-		t.Fatalf("server: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("server timed out")
+	if round := awaitRound(t, eng, done); len(round.Outcome.Selected) == 0 {
+		t.Error("no winners")
 	}
 }
 
 func TestDuplicateUserRejected(t *testing.T) {
-	cfg := singleTaskConfig(2)
-	cfg.Tasks[0].Requirement = 0.5
-	srv, results, errs := startServer(t, cfg)
-	addr := srv.Addr().String()
+	cc := singleTaskCampaign(2)
+	cc.Tasks[0].Requirement = 0.5
+	eng, addr, done := startEngine(t, sessionConfig, cc)
 
 	bid := auction.NewBid(7, []auction.TaskID{1}, 2, map[auction.TaskID]float64{1: 0.8})
 	// First connection with user 7 succeeds through bidding; second one
@@ -242,48 +211,16 @@ func TestDuplicateUserRejected(t *testing.T) {
 			Addr: addr, User: 8, TrueBid: bid2, Seed: 3, Timeout: 10 * time.Second,
 		})
 	}()
-	select {
-	case <-results:
-	case err := <-errs:
-		t.Fatalf("server: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("server timed out")
-	}
+	awaitRound(t, eng, done)
 	if err := <-first; err != nil {
 		t.Errorf("first agent failed: %v", err)
 	}
 }
 
-func TestServerContextCancellation(t *testing.T) {
-	srv, err := NewServer(singleTaskConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := srv.Serve(ctx)
-		done <- err
-	}()
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Error("cancelled Serve should return an error")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Serve did not return after cancellation")
-	}
-}
-
 func TestMalformedClientGetsError(t *testing.T) {
-	cfg := singleTaskConfig(1)
-	cfg.Tasks[0].Requirement = 0.5
-	srv, results, errs := startServer(t, cfg)
-	addr := srv.Addr().String()
+	cc := singleTaskCampaign(1)
+	cc.Tasks[0].Requirement = 0.5
+	eng, addr, done := startEngine(t, sessionConfig, cc)
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -308,11 +245,5 @@ func TestMalformedClientGetsError(t *testing.T) {
 			Addr: addr, User: 9, TrueBid: bid, Seed: 4, Timeout: 10 * time.Second,
 		})
 	}()
-	select {
-	case <-results:
-	case err := <-errs:
-		t.Fatalf("server: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("server timed out")
-	}
+	awaitRound(t, eng, done)
 }

@@ -1,13 +1,13 @@
 #!/bin/sh
-# Pre-PR gate, equivalent to `make check` for environments without make:
-# gofmt, vet, build, the full test suite (plus the perfbench module's
-# tests), race-enabled tests of every concurrency-bearing package, a
-# seed-corpus pass of the wire fuzz targets, and a one-iteration smoke run
-# of the solver benchmarks (which exercises the optimized-vs-reference
-# pairs end to end). The experiment harnesses are excluded from the race
-# pass only because their compute sweeps exceed any reasonable gate under
-# race instrumentation; their concurrency is race-covered via these
-# packages.
+# Pre-PR gate, the one definition behind `make check` (run it directly
+# where make is missing): gofmt, vet, build, the full test suite (plus the
+# perfbench module's tests), race-enabled tests of every
+# concurrency-bearing package, a seed-corpus pass of the wire fuzz targets,
+# and a one-iteration smoke run of the solver benchmarks (which exercises
+# the optimized-vs-reference pairs end to end). The experiment harnesses
+# are excluded from the race pass only because their compute sweeps exceed
+# any reasonable gate under race instrumentation; their concurrency is
+# race-covered via these packages.
 set -eux
 
 unformatted=$(gofmt -l .)
@@ -27,7 +27,7 @@ go test -race ./internal/engine/... ./internal/obs/... ./internal/obs/span \
 	./internal/store/... ./internal/cluster/... \
 	./internal/reputation/... ./internal/execution/... \
 	./internal/mechanism/... ./internal/knapsack/... ./internal/setcover/... \
-	./cmd/crowdsim
+	./cmd/crowdsim ./cmd/platformd
 go test -run 'Fuzz.*' ./internal/wire ./internal/store ./internal/cluster
 go test -run '^$' -bench . -benchtime 1x ./internal/knapsack ./internal/setcover ./internal/mechanism
 # Lifecycle-tracing gates: the obsctl round-trip (record a live journal,
@@ -60,7 +60,7 @@ go test -run TestTraceSmoke ./cmd/obsctl
 # swarm path under race, asserting every round settles with zero
 # admit-queue rejects.
 SWARM_AGENTS=100000 SWARM_CAMPAIGNS=100 SWARM_ROUNDS=1 \
-	go test -race -run TestSwarmSmoke ./cmd/crowdsim
+	go test -race -run TestSwarmSmoke -v ./cmd/crowdsim
 # Closed-loop reputation gate: the liar scenario's over-claimer must be
 # priced out — learned reliability discounts her declared PoS below the
 # requirement and her win share collapses while truthful users keep winning.
